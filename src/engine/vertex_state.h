@@ -6,25 +6,21 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
-#include <span>
-#include <deque>
-#include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
-#include <thread>
 #include <type_traits>
-#include <unordered_set>
 #include <vector>
 
-#include "common/retry.h"
 #include "common/status.h"
 #include "engine/types.h"
 #include "recovery/fault_injector.h"
+#include "storage/buffer_pool.h"
 #include "storage/page.h"
 
 namespace ariadne {
@@ -32,10 +28,11 @@ namespace ariadne {
 /// Vertex-value store of the engine (DESIGN.md §2.7). Flat mode (the
 /// default) is a plain std::vector<V> with zero overhead. Paged mode cuts
 /// the value array into fixed, power-of-two-sized pages kept under a byte
-/// budget: cold pages spill to a checksummed scratch file (record =
-/// [page bytes][Checksum64]) with dirty write-back, and fault back in on
-/// access. Requires a trivially-copyable V (records are raw memcpy);
-/// ConfigurePaged refuses otherwise and the store stays flat.
+/// budget by a storage::BufferPool: cold pages spill to a checksummed
+/// scratch file (record = [page bytes][Checksum64]) with dirty write-back,
+/// and fault back in on access. Requires a trivially-copyable V (records
+/// are raw memcpy); ConfigurePaged refuses otherwise and the store stays
+/// flat.
 ///
 /// Access goes through `Window`s: a window pins the pages covering a
 /// contiguous vertex range, hands out V& into them, and unpins on
@@ -46,11 +43,10 @@ namespace ariadne {
 /// affects stored values, so paged runs are byte-identical to flat ones
 /// for any budget or thread count (graph_backend_test.cc).
 ///
-/// A background prefetcher mirrors the paged graph backend: PrefetchRange
-/// hints fault upcoming pages in asynchronously so chunk windows almost
-/// never block on the spill file. IO failures are sticky (error());
-/// windows then serve a zeroed scratch page and the engine fails the run
-/// at the next superstep barrier.
+/// PrefetchRange hints go to the pool's prefetch thread, so chunk windows
+/// almost never block on the spill file. IO failures are sticky
+/// (error()); windows then serve a zeroed scratch page and the engine
+/// fails the run at the next superstep barrier.
 template <typename V>
 class VertexState {
  public:
@@ -76,10 +72,6 @@ class VertexState {
     return Status::OK();
   }
 
-  /// Transient-I/O retry ladder of the paged read/write-back path
-  /// (DESIGN.md §2.8); call before Reset.
-  void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
-
   bool paged() const { return paged_; }
   size_t size() const { return n_; }
 
@@ -95,45 +87,45 @@ class VertexState {
     values_per_page_ = PickValuesPerPage();
     page_shift_ = 0;
     while ((size_t{1} << page_shift_) < values_per_page_) ++page_shift_;
-    const size_t num_pages =
-        n == 0 ? 0 : (n + values_per_page_ - 1) / values_per_page_;
-    pages_ = std::vector<PageSlot>(num_pages);
+    num_pages_ = n == 0 ? 0 : (n + values_per_page_ - 1) / values_per_page_;
+    on_disk_.assign(num_pages_, 0);
     scratch_.assign(values_per_page_, V{});
-    resident_bytes_ = 0;
-    stats_ = VertexStateStats{};
-    stats_.paged = true;
-    stats_.budget_bytes = budget_bytes_;
-    stats_.footprint_bytes = static_cast<uint64_t>(n) * sizeof(V);
-    stats_.pages = static_cast<int32_t>(num_pages);
-    error_ = Status::OK();
+    page_faults_.store(0, std::memory_order_relaxed);
+    pool_ = std::make_unique<PagePool>(budget_bytes_, MakeClient());
     fd_ = ::open(spill_path_.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
     if (fd_ < 0) {
       return Status::IOError("cannot create vertex-state spill file " +
                              spill_path_ + ": " + std::strerror(errno));
     }
-    prefetch_stop_ = false;
-    prefetcher_ = std::thread([this] { PrefetcherMain(); });
     return Status::OK();
   }
 
   /// Sticky IO/corruption error of the paged read/write path; the engine
   /// checks this at every superstep barrier.
   Status error() const {
-    if (!paged_) return Status::OK();
-    std::lock_guard<std::mutex> lock(mu_);
-    return error_;
+    return pool_ == nullptr ? Status::OK() : pool_->error();
   }
 
   VertexStateStats stats() const {
-    if (!paged_) {
-      VertexStateStats s;
-      s.footprint_bytes = static_cast<uint64_t>(n_) * sizeof(V);
+    VertexStateStats s;
+    s.footprint_bytes = static_cast<uint64_t>(n_) * sizeof(V);
+    if (pool_ == nullptr) {
       s.resident_bytes = s.footprint_bytes;
       return s;
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    VertexStateStats s = stats_;
-    s.resident_bytes = resident_bytes_;
+    const storage::BufferPoolStats pool = pool_->stats();
+    s.paged = true;
+    s.budget_bytes = budget_bytes_;
+    s.resident_bytes = pool.resident_bytes;
+    s.page_faults = page_faults_.load(std::memory_order_relaxed);
+    s.prefetch_loads = pool.prefetch_loads;
+    s.evictions = pool.evictions;
+    s.writebacks = pool.writebacks;
+    s.pages = static_cast<int32_t>(num_pages_);
+    s.read_retries = pool.read_retries;
+    s.write_retries = pool.write_retries;
+    s.fd_reopens = pool.reopens;
+    s.gave_up = pool.gave_up;
     return s;
   }
 
@@ -173,8 +165,11 @@ class VertexState {
    private:
     friend class VertexState;
     void Release() {
-      if (owner_ != nullptr && !page_ptrs_.empty()) {
-        owner_->UnpinRange(first_page_, page_ptrs_.size());
+      for (size_t i = 0; i < page_ptrs_.size(); ++i) {
+        // Pages that failed to load were never pinned (scratch stand-in).
+        if (page_ptrs_[i] != owner_->scratch_.data()) {
+          owner_->pool_->Unpin(first_page_ + i);
+        }
       }
       owner_ = nullptr;
       flat_base_ = nullptr;
@@ -205,34 +200,25 @@ class VertexState {
     const size_t p1 = static_cast<size_t>(last) >> page_shift_;
     w.first_page_ = p0;
     w.page_ptrs_.resize(p1 - p0 + 1);
-    std::unique_lock<std::mutex> lock(mu_);
     for (size_t p = p0; p <= p1; ++p) {
-      w.page_ptrs_[p - p0] = PinPageLocked(lock, p, /*mark_dirty=*/true);
+      // Sticky error: once a page op gave up, windows get the scratch page.
+      auto page = pool_->failed() ? Result<PagePtr>(pool_->error())
+                                  : pool_->Pin(p, /*dirty=*/true);
+      w.page_ptrs_[p - p0] = page.ok() ? (*page)->data() : scratch_.data();
     }
     return w;
   }
 
   /// Async hint that vertices [first, last] are about to be accessed.
   void PrefetchRange(VertexId first, VertexId last) {
-    if (!paged_ || first > last) return;
+    if (!paged_ || first > last || pool_->failed()) return;
     if (first < 0) first = 0;
     if (last >= static_cast<VertexId>(n_)) {
       last = static_cast<VertexId>(n_) - 1;
     }
     const size_t p0 = static_cast<size_t>(first) >> page_shift_;
     const size_t p1 = static_cast<size_t>(last) >> page_shift_;
-    bool queued = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (size_t p = p0; p <= p1 && p < pages_.size(); ++p) {
-        if (pages_[p].data == nullptr && loading_.count(p) == 0) {
-          ++stats_.prefetch_loads;  // adjusted down if the load is beaten
-          prefetch_queue_.push_back(p);
-          queued = true;
-        }
-      }
-    }
-    if (queued) prefetch_cv_.notify_one();
+    for (size_t p = p0; p <= p1 && p < num_pages_; ++p) pool_->Prefetch(p);
   }
 
   /// Copies every value into `out` (the session/tool result path, which
@@ -262,14 +248,8 @@ class VertexState {
   }
 
  private:
-  struct PageSlot {
-    std::unique_ptr<V[]> data;  // resident iff non-null
-    uint32_t pins = 0;
-    bool dirty = false;
-    bool on_disk = false;  // a record exists in the spill file
-    bool in_lru = false;
-    std::list<size_t>::iterator lru_it;  // valid iff in_lru
-  };
+  using PagePool = storage::BufferPool<size_t, std::vector<V>>;
+  using PagePtr = typename PagePool::FramePtr;
 
   static size_t PickValuesPerPage() {
     // ~64 KiB pages, power-of-two values per page (so v>>shift / v&mask
@@ -284,151 +264,94 @@ class VertexState {
     return static_cast<uint64_t>(p) * (PageBytes() + 8);
   }
 
-  /// Faults (if needed), pins and LRU-touches page `p`. Requires `lock`
-  /// held; may drop it during IO (pages being loaded are tracked in
-  /// loading_, and waiters block on load_done_). Returns the page array,
-  /// or the shared zero scratch page after a sticky IO error.
-  V* PinPageLocked(std::unique_lock<std::mutex>& lock, size_t p,
-                   bool mark_dirty) {
-    for (;;) {
-      PageSlot& slot = pages_[p];
-      if (slot.data != nullptr) {
-        if (slot.pins++ == 0 && slot.in_lru) {
-          lru_.erase(slot.lru_it);
-          slot.in_lru = false;
-        }
-        if (mark_dirty) slot.dirty = true;
-        return slot.data.get();
+  /// The pool's view of this store: a page loads from its spill record
+  /// (or starts value-initialized if it was never written back), dirty
+  /// pages write their record back, and a failing fd gets reopened.
+  typename PagePool::Client MakeClient() {
+    typename PagePool::Client client;
+    client.load = [this](const size_t& p) -> Result<PagePtr> {
+      auto page = std::make_shared<std::vector<V>>(values_per_page_);
+      if (on_disk_[p]) {
+        ARIADNE_RETURN_NOT_OK(recovery::CheckFaultPoint("vstate-page-read"));
+        ARIADNE_RETURN_NOT_OK(ReadRecordOnce(p, page->data()));
+        page_faults_.fetch_add(1, std::memory_order_relaxed);
       }
-      if (!error_.ok()) return scratch_.data();
-      if (loading_.count(p) == 0) break;
-      load_done_.wait(lock);
-    }
-    loading_.insert(p);
-    const bool from_disk = pages_[p].on_disk;
-    lock.unlock();
-    std::unique_ptr<V[]> data;
-    int retries = 0;
-    Status load = LoadPage(p, from_disk, &data, &retries);
-    bool reopened = false;
-    if (!load.ok() && IsTransientError(load)) {
-      // Retries exhausted on a transient error: one reopen-and-revalidate
-      // of the spill fd before the error goes sticky (DESIGN.md §2.8).
-      if (ReopenSpill().ok()) {
-        reopened = true;
-        load = LoadPage(p, from_disk, &data, &retries);
-      }
-    }
-    lock.lock();
-    loading_.erase(p);
-    stats_.read_retries += static_cast<uint64_t>(retries);
-    if (reopened) ++stats_.fd_reopens;
-    PageSlot& slot = pages_[p];
-    if (!load.ok()) {
-      ++stats_.gave_up;
-      if (error_.ok()) error_ = load;
-      load_done_.notify_all();
-      return scratch_.data();
-    }
-    slot.data = std::move(data);
-    slot.pins = 1;
-    slot.dirty = mark_dirty || !from_disk;
-    resident_bytes_ += PageBytes();
-    if (from_disk) ++stats_.page_faults;
-    EvictOverBudgetLocked();
-    load_done_.notify_all();
-    return slot.data.get();
-  }
-
-  /// Reads page `p` from the spill file (or value-initializes a page that
-  /// was never written), retrying transient errors (fault point
-  /// "vstate-page-read") per retry_. No lock held; `*retries` accumulates
-  /// attempts beyond the first for the caller to fold into stats_.
-  Status LoadPage(size_t p, bool from_disk, std::unique_ptr<V[]>* out,
-                  int* retries) {
-    auto data = std::make_unique<V[]>(values_per_page_);
-    if (from_disk) {
-      const RetryOutcome read = RetryTransient(retry_, p, [&] {
-        Status attempt = recovery::CheckFaultPoint("vstate-page-read");
-        if (attempt.ok()) attempt = ReadRecordOnce(p, data.get());
-        return attempt;
-      });
-      *retries += read.retries();
-      ARIADNE_RETURN_NOT_OK(read.status);
-    }
-    *out = std::move(data);
-    return Status::OK();
+      return page;
+    };
+    client.charge = [this](const size_t&, const std::vector<V>&) {
+      return PageBytes();
+    };
+    client.write_back = [this](const size_t& p, const std::vector<V>& page) {
+      ARIADNE_RETURN_NOT_OK(recovery::CheckFaultPoint("vstate-page-write"));
+      ARIADNE_RETURN_NOT_OK(WriteRecordOnce(p, page.data()));
+      on_disk_[p] = 1;  // under the pool lock; loads of p follow it
+      return Status::OK();
+    };
+    client.reopen = [this] { return ReopenSpill(); };
+    return client;  // default RetryPolicy: the ladder of DESIGN.md §2.8
   }
 
   /// One pread+checksum attempt of page `p`'s spill record.
   Status ReadRecordOnce(size_t p, V* data) {
-    const size_t rec = PageBytes() + 8;
-    std::string raw(rec, '\0');
-    size_t got = 0;
-    while (got < rec) {
-      const ssize_t r =
-          ::pread(fd_, raw.data() + got, rec - got, RecordOffset(p) + got);
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        return Status::IOError("pread failed on vertex-state spill " +
-                               spill_path_ + ": " + std::strerror(errno));
+    if constexpr (!std::is_trivially_copyable_v<V>) {
+      return Status::Unsupported("vertex value type cannot be paged");
+    } else {
+      const size_t rec = PageBytes() + 8;
+      std::string raw(rec, '\0');
+      size_t got = 0;
+      while (got < rec) {
+        const ssize_t r =
+            ::pread(fd_, raw.data() + got, rec - got, RecordOffset(p) + got);
+        if (r < 0) {
+          if (errno == EINTR) continue;
+          return Status::IOError("pread failed on vertex-state spill " +
+                                 spill_path_ + ": " + std::strerror(errno));
+        }
+        if (r == 0) {
+          return Status::IOError("vertex-state spill truncated at page " +
+                                 std::to_string(p) + " in " + spill_path_);
+        }
+        got += static_cast<size_t>(r);
       }
-      if (r == 0) {
-        return Status::IOError("vertex-state spill truncated at page " +
-                               std::to_string(p) + " in " + spill_path_);
+      uint64_t want;
+      std::memcpy(&want, raw.data() + PageBytes(), 8);
+      if (storage::Checksum64({raw.data(), PageBytes()}) != want) {
+        return Status::ParseError("vertex-state page " + std::to_string(p) +
+                                  " checksum mismatch in " + spill_path_);
       }
-      got += static_cast<size_t>(r);
+      std::memcpy(data, raw.data(), PageBytes());
+      return Status::OK();
     }
-    uint64_t want;
-    std::memcpy(&want, raw.data() + PageBytes(), 8);
-    if (storage::Checksum64({raw.data(), PageBytes()}) != want) {
-      return Status::ParseError("vertex-state page " + std::to_string(p) +
-                                " checksum mismatch in " + spill_path_);
-    }
-    std::memcpy(data, raw.data(), PageBytes());
-    return Status::OK();
-  }
-
-  /// Writes page `p` (dirty write-back), retrying transient errors (fault
-  /// point "vstate-page-write") per retry_. Called with mu_ held from the
-  /// eviction path; the page has pins == 0, so nothing mutates it. Doing
-  /// the write (and any backoff) under the lock serializes write-back
-  /// against faults — acceptable because eviction happens off the chunk
-  /// hot path (window release) and pages are small.
-  Status StorePage(size_t p, const V* data) {
-    std::string raw(PageBytes() + 8, '\0');
-    std::memcpy(raw.data(), data, PageBytes());
-    const uint64_t sum = storage::Checksum64({raw.data(), PageBytes()});
-    std::memcpy(raw.data() + PageBytes(), &sum, 8);
-    const RetryOutcome wrote = RetryTransient(retry_, p, [&] {
-      Status attempt = recovery::CheckFaultPoint("vstate-page-write");
-      if (attempt.ok()) attempt = WriteRecordOnce(p, raw);
-      return attempt;
-    });
-    stats_.write_retries += static_cast<uint64_t>(wrote.retries());
-    return wrote.status;
   }
 
   /// One pwrite attempt of page `p`'s spill record.
-  Status WriteRecordOnce(size_t p, const std::string& raw) {
-    size_t put = 0;
-    while (put < raw.size()) {
-      const ssize_t w = ::pwrite(fd_, raw.data() + put, raw.size() - put,
-                                 RecordOffset(p) + put);
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        return Status::IOError("pwrite failed on vertex-state spill " +
-                               spill_path_ + ": " + std::strerror(errno));
+  Status WriteRecordOnce(size_t p, const V* data) {
+    if constexpr (!std::is_trivially_copyable_v<V>) {
+      return Status::Unsupported("vertex value type cannot be paged");
+    } else {
+      std::string raw(PageBytes() + 8, '\0');
+      std::memcpy(raw.data(), data, PageBytes());
+      const uint64_t sum = storage::Checksum64({raw.data(), PageBytes()});
+      std::memcpy(raw.data() + PageBytes(), &sum, 8);
+      size_t put = 0;
+      while (put < raw.size()) {
+        const ssize_t w = ::pwrite(fd_, raw.data() + put, raw.size() - put,
+                                   RecordOffset(p) + put);
+        if (w < 0) {
+          if (errno == EINTR) continue;
+          return Status::IOError("pwrite failed on vertex-state spill " +
+                                 spill_path_ + ": " + std::strerror(errno));
+        }
+        put += static_cast<size_t>(w);
       }
-      put += static_cast<size_t>(w);
+      return Status::OK();
     }
-    return Status::OK();
   }
 
-  /// Last-ditch recovery before an error goes sticky: reopens the spill
-  /// file and retargets fd_ via dup2 (atomic for concurrent preads).
-  /// Validates the new descriptor with fstat — the scratch file has no
-  /// magic; its records are individually checksummed anyway.
+  /// The pool's recovery step before an error goes sticky: reopens the
+  /// spill file and retargets fd_ via dup2 (atomic for concurrent
+  /// preads). Validates the new descriptor with fstat — the scratch file
+  /// has no magic; its records are individually checksummed anyway.
   Status ReopenSpill() {
     std::lock_guard<std::mutex> lock(reopen_mu_);
     const int fd = ::open(spill_path_.c_str(), O_RDWR);
@@ -448,125 +371,42 @@ class VertexState {
     return Status::OK();
   }
 
-  /// Evicts cold unpinned pages until under budget (soft: pinned pages
-  /// can hold residency above budget). Requires mu_ held.
-  void EvictOverBudgetLocked() {
-    auto it = lru_.begin();
-    while (resident_bytes_ > budget_bytes_ && it != lru_.end()) {
-      const size_t p = *it;
-      PageSlot& slot = pages_[p];
-      if (slot.dirty) {
-        Status stored = StorePage(p, slot.data.get());
-        if (!stored.ok() && IsTransientError(stored) && ReopenSpill().ok()) {
-          ++stats_.fd_reopens;
-          stored = StorePage(p, slot.data.get());
-        }
-        if (!stored.ok()) {
-          ++stats_.gave_up;
-          if (error_.ok()) error_ = stored;
-          return;  // keep the page; the barrier check surfaces the error
-        }
-        slot.dirty = false;
-        slot.on_disk = true;
-        ++stats_.writebacks;
-      }
-      slot.data.reset();
-      resident_bytes_ -= PageBytes();
-      ++stats_.evictions;
-      it = lru_.erase(it);
-      slot.in_lru = false;
-    }
-  }
-
-  void UnpinRange(size_t first_page, size_t count) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t p = first_page; p < first_page + count; ++p) {
-      PageSlot& slot = pages_[p];
-      if (--slot.pins == 0 && !slot.in_lru) {
-        slot.lru_it = lru_.insert(lru_.end(), p);
-        slot.in_lru = true;
-      }
-    }
-    if (resident_bytes_ > budget_bytes_) EvictOverBudgetLocked();
-  }
-
-  void PrefetcherMain() {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      prefetch_cv_.wait(lock, [this] {
-        return prefetch_stop_ || !prefetch_queue_.empty();
-      });
-      if (prefetch_stop_) return;
-      const size_t p = prefetch_queue_.front();
-      prefetch_queue_.pop_front();
-      if (pages_[p].data != nullptr || loading_.count(p) > 0 ||
-          !error_.ok()) {
-        --stats_.prefetch_loads;  // someone else got there first
-        continue;
-      }
-      // Pin + unpin so the prefetched page enters the LRU as warmest.
-      V* data = PinPageLocked(lock, p, /*mark_dirty=*/false);
-      if (data != scratch_.data()) {
-        PageSlot& slot = pages_[p];
-        if (--slot.pins == 0 && !slot.in_lru) {
-          slot.lru_it = lru_.insert(lru_.end(), p);
-          slot.in_lru = true;
-        }
-      }
-    }
-  }
-
   void Close() {
     if (!paged_) return;
-    if (prefetcher_.joinable()) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        prefetch_stop_ = true;
-      }
-      prefetch_cv_.notify_all();
-      prefetcher_.join();
-    }
+    pool_.reset();  // joins the prefetch thread before fd_ goes
     if (fd_ >= 0) {
       ::close(fd_);
       fd_ = -1;
       std::remove(spill_path_.c_str());
     }
-    pages_.clear();
-    lru_.clear();
-    loading_.clear();
-    prefetch_queue_.clear();
+    on_disk_.clear();
     paged_ = false;
   }
 
   size_t n_ = 0;
   std::vector<V> flat_;
 
-  // Paged-mode state (all guarded by mu_ unless noted).
+  // Paged-mode state.
   bool paged_ = false;
   std::string spill_path_;
   size_t budget_bytes_ = 0;
   size_t values_per_page_ = 0;  // power of two; set by Reset
   size_t page_shift_ = 0;
+  size_t num_pages_ = 0;
   int fd_ = -1;
-  RetryPolicy retry_;
   /// Serializes ReopenSpill so concurrently failing pages don't race
   /// dup2 swaps of fd_.
   std::mutex reopen_mu_;
-  mutable std::mutex mu_;
-  mutable std::condition_variable load_done_;
-  std::condition_variable prefetch_cv_;
-  std::vector<PageSlot> pages_;
-  std::list<size_t> lru_;  // unpinned resident pages, front = coldest
-  std::unordered_set<size_t> loading_;
-  std::deque<size_t> prefetch_queue_;
-  bool prefetch_stop_ = false;
-  std::thread prefetcher_;
-  size_t resident_bytes_ = 0;
-  Status error_ = Status::OK();
-  VertexStateStats stats_;
+  /// Per page: a spill record exists. Written by write-backs (under the
+  /// pool lock), read by loads of the same page, which the pool orders
+  /// after them.
+  std::vector<uint8_t> on_disk_;
+  /// Spill records read back (demand or prefetch).
+  std::atomic<uint64_t> page_faults_{0};
   /// Served to windows after a sticky error (values are garbage by then;
   /// the run fails at the barrier before anything is reported).
   std::vector<V> scratch_;
+  std::unique_ptr<PagePool> pool_;
 };
 
 }  // namespace ariadne

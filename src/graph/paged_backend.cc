@@ -27,7 +27,7 @@ namespace {
 //   [directory frame][dir_offset u64][kFooterMagic u64]
 //
 // The 16-byte raw footer locates the directory; header and directory are
-// read through ParseCheckedFrame, partition frames through LoadFragment
+// read through ParseCheckedFrame, partition frames through ReadFragmentOnce
 // (length prefix cross-checked against the checksummed directory, digest
 // verified on each partition's first load).
 constexpr uint32_t kAgpMagic = 0x31504741;  // "AGP1"
@@ -528,63 +528,43 @@ Result<std::unique_ptr<PagedBackend>> PagedBackend::Open(
                               path);
   }
   backend->SetCounts(n, m);
-  backend->frame_verified_.assign(num_parts, 0);
+  backend->frame_verified_ =
+      std::make_unique<std::atomic<uint8_t>[]>(num_parts);
   backend->vertices_per_partition_ = span;
-  backend->stats_.partitions = static_cast<int32_t>(num_parts);
-  backend->stats_.budget_bytes = options.budget_bytes;
-  backend->stats_.max_partition_bytes = backend->max_partition_bytes_;
-  for (const PartitionEntry& e : backend->directory_) {
-    backend->stats_.footprint_bytes += e.decoded_bytes;
-  }
 
-  if (options.verify_on_open) {
-    ARIADNE_RETURN_NOT_OK(backend->VerifyAllPartitions());
-  }
-  if (options.enable_prefetch) {
-    backend->prefetcher_ = std::thread([b = backend.get()] {
-      b->PrefetcherMain();
-    });
-  }
+  using FragmentPool = storage::BufferPool<int, const Fragment>;
+  FragmentPool::Client client;
+  const PagedBackend* b = backend.get();
+  client.load = [b](const int& p) -> Result<std::shared_ptr<const Fragment>> {
+    ARIADNE_RETURN_NOT_OK(recovery::CheckFaultPoint("graph-partition-read"));
+    std::atomic<uint8_t>& verified = b->frame_verified_[p];
+    ARIADNE_ASSIGN_OR_RETURN(
+        auto frag,
+        b->ReadFragmentOnce(p, verified.load(std::memory_order_relaxed) == 0));
+    verified.store(1, std::memory_order_relaxed);
+    return frag;
+  };
+  // Residency is charged with the directory's decoded_bytes — the same
+  // figure footprint_bytes sums — so a budget equal to the footprint
+  // really holds every partition (a per-fragment overhead surcharge here
+  // once made a 100% budget thrash the whole file every sweep).
+  client.charge = [b](const int& p, const Fragment&) {
+    return static_cast<size_t>(
+        b->directory_[static_cast<size_t>(p)].decoded_bytes);
+  };
+  client.reopen = [b] { return b->ReopenAndRevalidate(); };
+  client.retry = options.io_retry;
+  backend->pool_ =
+      std::make_unique<FragmentPool>(options.budget_bytes, std::move(client));
   return backend;
 }
 
 PagedBackend::~PagedBackend() {
-  if (prefetcher_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(prefetch_mu_);
-      prefetch_stop_ = true;
-    }
-    prefetch_cv_.notify_all();
-    prefetcher_.join();
-  }
+  pool_.reset();  // joins the prefetch thread, which reads through fd_
   if (fd_ >= 0) ::close(fd_);
 }
 
 // ---- Read path ----
-
-Result<std::shared_ptr<const PagedBackend::Fragment>>
-PagedBackend::LoadFragment(int p, bool verify_checksum) const {
-  std::shared_ptr<const Fragment> frag;
-  const RetryOutcome read = RetryTransient(
-      options_.io_retry, static_cast<uint64_t>(p), [&] {
-        Status attempt = recovery::CheckFaultPoint("graph-partition-read");
-        if (attempt.ok()) {
-          auto once = ReadFragmentOnce(p, verify_checksum);
-          if (once.ok()) {
-            frag = std::move(once).value();
-          } else {
-            attempt = once.status();
-          }
-        }
-        return attempt;
-      });
-  if (read.retries() > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.read_retries += static_cast<uint64_t>(read.retries());
-  }
-  if (!read.status.ok()) return read.status;
-  return frag;
-}
 
 Result<std::shared_ptr<const PagedBackend::Fragment>>
 PagedBackend::ReadFragmentOnce(int p, bool verify_checksum) const {
@@ -663,88 +643,7 @@ Status PagedBackend::ReopenAndRevalidate() const {
     return StatusFromErrno("dup2 failed while reopening", path_);
   }
   ::close(fd);
-  std::lock_guard<std::mutex> slock(mu_);
-  ++stats_.fd_reopens;
   return Status::OK();
-}
-
-void PagedBackend::TouchLocked(int p) const {
-  auto it = lru_pos_.find(p);
-  if (it != lru_pos_.end()) lru_.splice(lru_.end(), lru_, it->second);
-}
-
-void PagedBackend::InsertLocked(
-    int p, std::shared_ptr<const Fragment> frag) const {
-  // Residency is charged with the directory's decoded_bytes — the same
-  // figure footprint_bytes sums — so a budget equal to the footprint
-  // really holds every partition (a per-fragment overhead surcharge here
-  // once made a 100% budget thrash the whole file every sweep).
-  resident_bytes_ += directory_[static_cast<size_t>(p)].decoded_bytes;
-  cache_[p] = std::move(frag);
-  lru_pos_[p] = lru_.insert(lru_.end(), p);
-  // Evict coldest fragments over budget, but never the one just inserted
-  // (jumbo semantics: a single oversized fragment may exceed the budget).
-  while (resident_bytes_ > options_.budget_bytes && lru_.size() > 1) {
-    const int victim = lru_.front();
-    lru_.pop_front();
-    lru_pos_.erase(victim);
-    resident_bytes_ -= directory_[static_cast<size_t>(victim)].decoded_bytes;
-    cache_.erase(victim);
-    ++stats_.evictions;
-  }
-  stats_.resident_bytes = resident_bytes_;
-}
-
-std::shared_ptr<const PagedBackend::Fragment> PagedBackend::GetFragment(
-    int partition, bool from_prefetcher) const {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    if (!error_.ok()) return nullptr;
-    auto it = cache_.find(partition);
-    if (it != cache_.end()) {
-      TouchLocked(partition);
-      if (!from_prefetcher) ++stats_.cache_hits;
-      return it->second;
-    }
-    if (loading_.count(partition) == 0) break;
-    // Another thread (or the prefetcher) is reading this partition; wait
-    // for it instead of issuing a duplicate IO.
-    load_done_.wait(lock);
-  }
-  loading_.insert(partition);
-  const bool verify = frame_verified_[static_cast<size_t>(partition)] == 0;
-  lock.unlock();
-
-  auto loaded = LoadFragment(partition, verify);
-  if (!loaded.ok() && IsTransientError(loaded.status())) {
-    // Retries exhausted on a transient error: one reopen-and-revalidate
-    // of the spill fd (the descriptor itself may be the casualty — NFS
-    // staleness, a pulled mount) before the error goes sticky.
-    if (ReopenAndRevalidate().ok()) {
-      loaded = LoadFragment(partition, verify);
-    }
-  }
-
-  lock.lock();
-  loading_.erase(partition);
-  if (!loaded.ok()) {
-    ++stats_.gave_up;
-    if (error_.ok()) error_ = loaded.status();
-    lock.unlock();
-    load_done_.notify_all();
-    return nullptr;
-  }
-  frame_verified_[static_cast<size_t>(partition)] = 1;
-  if (from_prefetcher) {
-    ++stats_.prefetch_loads;
-  } else {
-    ++stats_.partition_faults;
-  }
-  InsertLocked(partition, loaded.value());
-  std::shared_ptr<const Fragment> frag = cache_[partition];
-  lock.unlock();
-  load_done_.notify_all();
-  return frag;
 }
 
 const PagedBackend::Fragment* PagedBackend::Lease(VertexId v) const {
@@ -754,10 +653,13 @@ const PagedBackend::Fragment* PagedBackend::Lease(VertexId v) const {
       return static_cast<const Fragment*>(slot.raw);
     }
   }
+  // Sticky error: once a load gave up, every lease miss fails fast.
+  if (pool_->failed()) return nullptr;
   const int p = PartitionOf(v);
+  auto loaded = pool_->Get(p);
+  if (!loaded.ok()) return nullptr;
+  std::shared_ptr<const Fragment> frag = std::move(loaded).value();
   LeaseSlot& slot = g_lease_slots[static_cast<size_t>(p) & 1];
-  std::shared_ptr<const Fragment> frag = GetFragment(p, false);
-  if (frag == nullptr) return nullptr;
   slot.instance = instance_id_;
   slot.partition = p;
   slot.first = frag->first;
@@ -823,35 +725,34 @@ std::span<const double> PagedBackend::InWeights(VertexId v) const {
                               f->in_offsets[local])};
 }
 
-Status PagedBackend::backend_error() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return error_;
-}
+Status PagedBackend::backend_error() const { return pool_->error(); }
 
 GraphBackendStats PagedBackend::backend_stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  GraphBackendStats s = stats_;
-  s.resident_bytes = resident_bytes_;
+  const storage::BufferPoolStats pool = pool_->stats();
+  GraphBackendStats s;
+  s.budget_bytes = pool_->budget();
+  s.resident_bytes = pool.resident_bytes;
+  for (const PartitionEntry& e : directory_) {
+    s.footprint_bytes += e.decoded_bytes;
+  }
+  s.partition_faults = pool.loads;
+  s.cache_hits = pool.hits;
+  s.prefetch_loads = pool.prefetch_loads;
+  s.prefetch_requests = pool.prefetch_requests;
+  s.evictions = pool.evictions;
+  s.max_partition_bytes = max_partition_bytes_;
+  s.partitions = num_partitions();
+  s.read_retries = pool.read_retries;
+  s.fd_reopens = pool.reopens;
+  s.gave_up = pool.gave_up;
   return s;
 }
 
 // ---- Prefetch ----
 
-void PagedBackend::EnqueuePrefetch(int partition) const {
-  if (!options_.enable_prefetch || partition < 0 ||
-      partition >= num_partitions()) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (cache_.count(partition) > 0 || loading_.count(partition) > 0) return;
-    ++stats_.prefetch_requests;
-  }
-  {
-    std::lock_guard<std::mutex> lock(prefetch_mu_);
-    prefetch_queue_.push_back(partition);
-  }
-  prefetch_cv_.notify_one();
+void PagedBackend::PrefetchPartition(int p) const {
+  if (p < 0 || p >= num_partitions() || pool_->failed()) return;
+  pool_->Prefetch(p);
 }
 
 void PagedBackend::PrefetchVertexRange(VertexId first, VertexId last) const {
@@ -859,7 +760,7 @@ void PagedBackend::PrefetchVertexRange(VertexId first, VertexId last) const {
   if (last >= num_vertices()) last = num_vertices() - 1;
   if (first > last) return;
   for (int p = PartitionOf(first); p <= PartitionOf(last); ++p) {
-    EnqueuePrefetch(p);
+    PrefetchPartition(p);
   }
 }
 
@@ -869,39 +770,20 @@ void PagedBackend::AdviseSequentialScan(VertexId v) const {
   if (v % vertices_per_partition_ != 0) return;
   const int64_t p = v / vertices_per_partition_;
   if (last_advised_.exchange(p, std::memory_order_relaxed) == p) return;
-  EnqueuePrefetch(static_cast<int>(p + 1));
-}
-
-void PagedBackend::PrefetcherMain() {
-  for (;;) {
-    int partition;
-    {
-      std::unique_lock<std::mutex> lock(prefetch_mu_);
-      prefetch_cv_.wait(lock, [this] {
-        return prefetch_stop_ || !prefetch_queue_.empty();
-      });
-      if (prefetch_stop_) return;
-      partition = prefetch_queue_.front();
-      prefetch_queue_.pop_front();
-    }
-    // GetFragment dedups against cached/in-flight and records the sticky
-    // error on failure; the reader that needs the partition will see it.
-    (void)GetFragment(partition, true);
-  }
+  PrefetchPartition(static_cast<int>(p + 1));
 }
 
 Status PagedBackend::VerifyAllPartitions() const {
-  // The full-fidelity probe: always re-reads and checksums every frame
-  // (LoadFragment with verify_checksum also cross-checks the length
-  // prefix against the directory and validates the decoded view).
+  // The full-fidelity probe: re-reads and checksums every frame (which
+  // also cross-checks the length prefix against the directory and
+  // validates the decoded view).
   for (size_t p = 0; p < directory_.size(); ++p) {
     ARIADNE_RETURN_NOT_OK(
-        LoadFragment(static_cast<int>(p), /*verify_checksum=*/true)
+        ReadFragmentOnce(static_cast<int>(p), /*verify_checksum=*/true)
             .status());
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!frame_verified_.empty()) {
-    std::fill(frame_verified_.begin(), frame_verified_.end(), uint8_t{1});
+  for (size_t p = 0; p < directory_.size(); ++p) {
+    frame_verified_[p].store(1, std::memory_order_relaxed);
   }
   return Status::OK();
 }

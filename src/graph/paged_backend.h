@@ -2,22 +2,17 @@
 #define ARIADNE_GRAPH_PAGED_BACKEND_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/retry.h"
 #include "common/status.h"
 #include "graph/graph.h"
+#include "storage/buffer_pool.h"
 
 namespace ariadne {
 
@@ -26,15 +21,9 @@ struct PagedBackendOptions {
   /// Byte budget for decoded partition fragments (the topology share of
   /// the unified memory budget, storage/memory_budget.h). The budget is
   /// soft at the single-fragment level: one fragment is always allowed to
-  /// be resident even if it alone exceeds the budget (jumbo semantics,
-  /// like the provenance page cache).
+  /// be resident even if it alone exceeds the budget (the buffer pool's
+  /// jumbo rule, storage/buffer_pool.h).
   size_t budget_bytes = 64ull << 20;
-  /// Run the async prefetcher thread (PrefetchVertexRange /
-  /// AdviseSequentialScan hints become loads instead of no-ops).
-  bool enable_prefetch = true;
-  /// Checksum-verify every partition frame at Open (pays one full file
-  /// scan; corruption otherwise surfaces at first fault).
-  bool verify_on_open = false;
   /// Transient-read retry ladder (DESIGN.md §2.8). A partition read that
   /// exhausts it gets one reopen-and-revalidate of the spill fd before
   /// the error goes sticky.
@@ -44,12 +33,14 @@ struct PagedBackendOptions {
 /// Out-of-core graph backend (DESIGN.md §2.7): CSR topology cut into
 /// contiguous vertex partitions, each serialized as one checksummed
 /// "checked frame" (storage/page.h) in an AGP1 spill file, faulted into a
-/// decoded-fragment cache under a byte budget with LRU eviction and an
-/// asynchronous prefetcher thread.
+/// decoded-fragment cache under a byte budget. The cache is a
+/// storage::BufferPool (LRU eviction, in-flight dedup, the prefetch
+/// thread, the retry ladder); this class keeps the AGP1 format and the
+/// lease fast path.
 ///
 /// Topology is immutable, so there is no dirty state and eviction is
-/// always safe: the cache holds shared_ptr fragments, eviction drops only
-/// the cache's reference, and readers keep their fragment alive through a
+/// always safe: the pool holds shared_ptr fragments, eviction drops only
+/// the pool's reference, and readers keep their fragment alive through a
 /// per-thread two-slot lease (slot = partition parity), so the spans
 /// returned by the adjacency accessors stay valid until the calling
 /// thread touches a third distinct partition. Every engine/eval access
@@ -81,8 +72,9 @@ class PagedBackend final : public Graph {
                                   VertexId num_vertices_hint = 0);
 
   /// Opens an AGP1 spill file. The returned backend is self-contained
-  /// (owns its fd and prefetcher) and is used wherever a `const Graph&`
-  /// is expected.
+  /// (owns its fd and fragment pool) and is used wherever a `const
+  /// Graph&` is expected. Frames are checksummed on first load; call
+  /// VerifyAllPartitions to check the whole file up front.
   static Result<std::unique_ptr<PagedBackend>> Open(
       const std::string& path, PagedBackendOptions options = {});
 
@@ -185,41 +177,26 @@ class PagedBackend final : public Graph {
   }
 
   /// The lease fast path: returns the fragment holding `v`, faulting it
-  /// in if needed. Returns nullptr only after a read error (sticky).
+  /// in through the pool on a lease miss (a lease hit never touches the
+  /// pool). Returns nullptr only after a read error (sticky).
   const Fragment* Lease(VertexId v) const;
 
-  /// Locked lookup behind the lease: cache hit, wait-on-in-flight, or
-  /// demand load. `from_prefetcher` only routes the stats.
-  std::shared_ptr<const Fragment> GetFragment(int partition,
-                                              bool from_prefetcher) const;
-
-  /// Reads + decodes partition `p` from the file (no lock held). The
-  /// frame's checksum is verified only when `verify_checksum` is set: the
-  /// spill file is opened read-only and immutable for the backend's
-  /// lifetime, so GetFragment verifies each partition's first load and
-  /// skips the digest on reloads after eviction. Transient read errors
-  /// (fault point "graph-partition-read") are retried per
-  /// options_.io_retry before the failure propagates.
-  Result<std::shared_ptr<const Fragment>> LoadFragment(
-      int p, bool verify_checksum) const;
-
-  /// One attempt of LoadFragment's read+decode (no retry, no fault hook).
+  /// One read + decode attempt of partition `p` (the pool's load step;
+  /// it retries). The frame's checksum is verified only when
+  /// `verify_checksum` is set: the spill file is opened read-only and
+  /// immutable for the backend's lifetime, so each partition's first load
+  /// verifies and reloads after eviction skip the digest.
   Result<std::shared_ptr<const Fragment>> ReadFragmentOnce(
       int p, bool verify_checksum) const;
 
-  /// Last-ditch recovery before a read error goes sticky: reopens the
+  /// The pool's recovery step before a read error goes sticky: reopens the
   /// spill file, revalidates its footer magic, and atomically swaps the
   /// new descriptor onto fd_ (dup2), so concurrent preads never see a
   /// closed fd. Serialized by reopen_mu_.
   Status ReopenAndRevalidate() const;
 
-  /// Inserts into the cache and evicts LRU fragments over budget.
-  /// Requires mu_ held.
-  void InsertLocked(int p, std::shared_ptr<const Fragment> frag) const;
-  void TouchLocked(int p) const;
-
-  void EnqueuePrefetch(int partition) const;
-  void PrefetcherMain();
+  /// Queues partition `p` for the pool's prefetch thread.
+  void PrefetchPartition(int p) const;
 
   std::string path_;
   int fd_ = -1;
@@ -229,28 +206,13 @@ class PagedBackend final : public Graph {
   size_t max_partition_bytes_ = 0;
   uint64_t instance_id_ = 0;  ///< tags thread-local lease slots
 
-  mutable std::mutex mu_;
-  mutable std::condition_variable load_done_;
-  mutable std::unordered_map<int, std::shared_ptr<const Fragment>> cache_;
-  mutable std::list<int> lru_;  // front = coldest
-  mutable std::unordered_map<int, std::list<int>::iterator> lru_pos_;
-  mutable std::unordered_set<int> loading_;
   /// Per-partition flag: frame checksum has been verified this session
-  /// (first demand/prefetch load, VerifyAllPartitions, or verify_on_open).
-  mutable std::vector<uint8_t> frame_verified_;
-  mutable size_t resident_bytes_ = 0;
-  mutable Status error_ = Status::OK();
-  mutable GraphBackendStats stats_;
+  /// (first load, or VerifyAllPartitions).
+  std::unique_ptr<std::atomic<uint8_t>[]> frame_verified_;
   /// Serializes reopen-and-revalidate so concurrently failing readers
   /// don't race dup2 swaps of fd_.
   mutable std::mutex reopen_mu_;
-
-  // Prefetcher state (guarded by prefetch_mu_).
-  mutable std::mutex prefetch_mu_;
-  mutable std::condition_variable prefetch_cv_;
-  mutable std::deque<int> prefetch_queue_;
-  bool prefetch_stop_ = false;
-  std::thread prefetcher_;
+  std::unique_ptr<storage::BufferPool<int, const Fragment>> pool_;
   /// Last partition AdviseSequentialScan saw (cheap dedup of per-vertex
   /// hints down to one enqueue per partition crossing).
   mutable std::atomic<int64_t> last_advised_{-1};

@@ -15,7 +15,7 @@
 #include "eval/layered_step.h"
 #include "serve/service_state.h"
 #include "serve/shared_scan.h"
-#include "storage/page_cache.h"
+#include "storage/layer_store.h"
 
 namespace ariadne::serve {
 

@@ -38,6 +38,11 @@ Result<std::string> ReadRegion(const std::string& path, uint64_t offset,
   return buf;
 }
 
+/// Per-thread attribution sink (see ScopedCacheAttribution). A plain
+/// thread_local pointer: attributed counters are single-writer by
+/// construction (only this thread bumps its own sink).
+thread_local PageCacheStats* t_attribution_sink = nullptr;
+
 int64_t CountTuples(const Layer& layer) {
   int64_t n = 0;
   for (const auto& slice : layer.slices) {
@@ -47,6 +52,19 @@ int64_t CountTuples(const Layer& layer) {
 }
 
 }  // namespace
+
+ScopedCacheAttribution::ScopedCacheAttribution(PageCacheStats* sink)
+    : previous_(t_attribution_sink) {
+  t_attribution_sink = sink;
+}
+
+ScopedCacheAttribution::~ScopedCacheAttribution() {
+  t_attribution_sink = previous_;
+}
+
+PageCacheStats* ScopedCacheAttribution::Current() {
+  return t_attribution_sink;
+}
 
 LayerStore::~LayerStore() {
   // Background tasks capture `this`; quiesce them before members die.
@@ -71,7 +89,16 @@ Status LayerStore::Configure(LayerStoreOptions options) {
   std::error_code ec;
   std::filesystem::create_directories(options.dir, ec);  // flush reports failures
   options_ = std::move(options);
-  cache_ = std::make_unique<PageCache>(options_.mem_budget_bytes / 4);
+  using PagePool = BufferPool<PageKey, const Page, PageKeyHash>;
+  PagePool::Client client;
+  client.load = [this](const PageKey& key) { return LoadPage(key); };
+  client.charge = [](const PageKey&, const Page& page) {
+    return kPageWireHeaderBytes + page.payload.size();
+  };
+  client.retry = options_.IoRetryPolicy();
+  client.drop_fault = "cache-drop";
+  cache_ = std::make_unique<PagePool>(options_.mem_budget_bytes / 4,
+                                      std::move(client));
   flusher_ = std::make_unique<BackgroundFlusher>(options_.flush_threads);
   configured_ = true;
   for (auto& entry : entries_) {
@@ -255,43 +282,41 @@ Result<std::shared_ptr<const Layer>> LayerStore::ReadRelations(
   return ReadImpl(step, rels);
 }
 
-Result<std::shared_ptr<const Page>> LayerStore::FetchPage(
-    const Entry& entry, uint32_t index) const {
-  const PageKey key{static_cast<int32_t>(entry.step), index};
-  if (cache_) {
-    if (auto page = cache_->Lookup(key)) return page;
-  }
-  const Entry::PageRef& ref = entry.pages[index];
-  // Same bounded-retry policy as the flush path (fault point "page-read").
-  Result<std::string> region = std::string();
-  const RetryOutcome read = RetryTransient(
-      options_.IoRetryPolicy(),
-      (static_cast<uint64_t>(entry.step) << 20) + index, [&] {
-        Status injected = recovery::CheckFaultPoint("page-read");
-        region = injected.ok()
-                     ? ReadRegion(entry.file, ref.offset, ref.bytes)
-                     : Result<std::string>(injected);
-        return region.ok() ? Status::OK() : region.status();
-      });
-  if (read.retries() > 0) {
+Result<std::shared_ptr<const Page>> LayerStore::LoadPage(
+    const PageKey& key) const {
+  std::string file;
+  Entry::PageRef ref;
+  {
     std::lock_guard<std::mutex> lock(mu_);
-    stats_.read_retries += static_cast<uint64_t>(read.retries());
+    const Entry& entry = *entries_[static_cast<size_t>(key.step)];
+    file = entry.file;
+    ref = entry.pages[key.index];
   }
-  if (!region.ok()) return region.status();
+  ARIADNE_RETURN_NOT_OK(recovery::CheckFaultPoint("page-read"));
+  ARIADNE_ASSIGN_OR_RETURN(std::string region,
+                           ReadRegion(file, ref.offset, ref.bytes));
   size_t offset = 0;
-  auto parsed = ParsePage(*region, &offset);
+  auto parsed = ParsePage(region, &offset);
   if (!parsed.ok()) {
     // Re-anchor the in-buffer offset of the parse error to the file.
     return parsed.status().WithContext(
-        entry.file + " (page " + std::to_string(index) + " at file offset " +
+        file + " (page " + std::to_string(key.index) + " at file offset " +
         std::to_string(ref.offset) + ")");
   }
-  auto page = std::make_shared<const Page>(std::move(parsed).value());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.pages_read;
+  return std::make_shared<const Page>(std::move(parsed).value());
+}
+
+Result<std::shared_ptr<const Page>> LayerStore::FetchPage(
+    const PageKey& key) const {
+  BufferPool<PageKey, const Page, PageKeyHash>::Access access;
+  auto page = cache_->Get(key, &access);
+  if (t_attribution_sink != nullptr) {
+    ++(access.hit ? t_attribution_sink->hits : t_attribution_sink->misses);
+    if (access.loaded) ++t_attribution_sink->insertions;
+    // Evictions are attributed to the inserting thread: its insert is
+    // what pushed the cache over budget.
+    t_attribution_sink->evictions += access.evictions;
   }
-  if (cache_) cache_->Insert(key, page);
   return page;
 }
 
@@ -322,36 +347,15 @@ Result<std::shared_ptr<const Layer>> LayerStore::ReadImpl(
   const std::unordered_set<int> wanted(rels.begin(), rels.end());
   auto layer = std::make_shared<Layer>();
   layer->step = static_cast<Superstep>(step);
-  std::vector<PageKey> pinned;
-  pinned.reserve(n_pages);
-  Status status;
   for (uint32_t i = 0; i < n_pages; ++i) {
     if (!wanted.empty() &&
         wanted.count(static_cast<int>(entry->pages[i].rel)) == 0) {
       continue;
     }
-    auto page = FetchPage(*entry, i);
-    if (!page.ok()) {
-      status = page.status();
-      break;
-    }
-    if (cache_) {
-      // Pin for the rest of the layer decode so a later page's insert
-      // cannot evict an earlier one mid-read.
-      const PageKey key{static_cast<int32_t>(entry->step), i};
-      cache_->Pin(key);
-      pinned.push_back(key);
-    }
-    status = DecodePage(**page, layer.get());
-    if (!status.ok()) {
-      status = status.WithContext(entry->file);
-      break;
-    }
+    ARIADNE_ASSIGN_OR_RETURN(auto page, FetchPage(PageKey{step, i}));
+    Status decoded = DecodePage(*page, layer.get());
+    if (!decoded.ok()) return decoded.WithContext(entry->file);
   }
-  if (cache_) {
-    for (const PageKey& key : pinned) cache_->Unpin(key);
-  }
-  ARIADNE_RETURN_NOT_OK(status);
 
   if (wanted.empty()) {
     // A full decode re-admits the layer as resident (LRU within budget),
@@ -376,29 +380,13 @@ void LayerStore::Prefetch(int step, const std::vector<int>& rels) const {
   lock.unlock();
   if (cache_->budget() == 0) return;  // nowhere to warm pages into
 
-  std::vector<uint32_t> indices;
   const std::unordered_set<int> wanted(rels.begin(), rels.end());
   for (uint32_t i = 0; i < n_pages; ++i) {
     if (wanted.empty() ||
         wanted.count(static_cast<int>(entry->pages[i].rel)) != 0) {
-      indices.push_back(i);
+      cache_->Prefetch(PageKey{step, i});
     }
   }
-  if (indices.empty()) return;
-  flusher_->Submit([this, entry, indices = std::move(indices)] {
-    uint64_t loaded = 0;
-    for (uint32_t i : indices) {
-      const PageKey key{static_cast<int32_t>(entry->step), i};
-      if (cache_->Contains(key)) continue;
-      // Best-effort: a failed prefetch is silent, the subsequent Read
-      // reports it with full context.
-      auto page = FetchPage(*entry, i);
-      if (!page.ok()) break;
-      ++loaded;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.prefetch_pages += loaded;
-  });
 }
 
 Status LayerStore::Drain() {
@@ -449,7 +437,7 @@ size_t LayerStore::InMemoryBytes() const {
       if (entry->resident) total += entry->byte_size;
     }
   }
-  if (cache_) total += cache_->stats().bytes_cached;
+  if (cache_) total += cache_->stats().resident_bytes;
   return total;
 }
 
@@ -483,11 +471,14 @@ StorageStats LayerStore::stats() const {
               out.flush_retries_by_thread.end(), std::greater<uint64_t>());
   }
   if (cache_) {
-    const PageCacheStats cs = cache_->stats();
-    out.cache_hits = cs.hits;
-    out.cache_misses = cs.misses;
-    out.cache_evictions = cs.evictions;
-    out.cache_bytes = cs.bytes_cached;
+    const BufferPoolStats pool = cache_->stats();
+    out.pages_read = pool.loads + pool.prefetch_loads;
+    out.prefetch_pages = pool.prefetch_loads;
+    out.read_retries = pool.read_retries;
+    out.cache_hits = pool.hits;
+    out.cache_misses = pool.misses + pool.prefetch_loads;
+    out.cache_evictions = pool.evictions;
+    out.cache_bytes = pool.resident_bytes;
   }
   return out;
 }

@@ -12,12 +12,84 @@
 
 #include "common/retry.h"
 #include "common/status.h"
+#include "storage/buffer_pool.h"
 #include "storage/flusher.h"
 #include "storage/layer.h"
 #include "storage/page.h"
-#include "storage/page_cache.h"
 
 namespace ariadne::storage {
+
+/// Identity of one encoded page: (layer step, page index within layer).
+struct PageKey {
+  int32_t step = 0;
+  uint32_t index = 0;
+  bool operator==(const PageKey& other) const {
+    return step == other.step && index == other.index;
+  }
+};
+
+struct PageKeyHash {
+  size_t operator()(const PageKey& k) const {
+    return (static_cast<size_t>(static_cast<uint32_t>(k.step)) << 32) ^
+           k.index;
+  }
+};
+
+/// Page-cache counters; all monotonically increasing except
+/// `bytes_cached`.
+struct PageCacheStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t evictions = 0;
+  uint64_t insertions = 0;
+  uint64_t bytes_cached = 0;  ///< current payload bytes resident
+
+  /// Counter movement since `before` (a Snapshot taken earlier);
+  /// `bytes_cached` carries the current value, not a difference. The
+  /// snapshot/delta pair is how `bench_serve_micro` and the serve stats
+  /// attribute cache activity to one phase without racing concurrent
+  /// readers or the background flusher.
+  PageCacheStats Delta(const PageCacheStats& before) const {
+    PageCacheStats d;
+    d.hits = hits - before.hits;
+    d.misses = misses - before.misses;
+    d.evictions = evictions - before.evictions;
+    d.insertions = insertions - before.insertions;
+    d.bytes_cached = bytes_cached;
+    return d;
+  }
+
+  void Merge(const PageCacheStats& o) {
+    hits += o.hits;
+    misses += o.misses;
+    evictions += o.evictions;
+    insertions += o.insertions;
+    bytes_cached = o.bytes_cached;
+  }
+};
+
+/// Attributes page-cache activity on the *current thread* to `sink` for
+/// the scope's lifetime: every hit/miss/eviction/insertion the thread
+/// causes in a LayerStore's page cache is added to the sink as well as to
+/// the store's global stats.
+/// The serve shared-scan executor wraps each store read in one of these,
+/// so per-query cache attribution costs nothing on unattributed paths
+/// (background flush/prefetch threads never set a sink). Scopes nest;
+/// the previous sink is restored on destruction.
+class ScopedCacheAttribution {
+ public:
+  explicit ScopedCacheAttribution(PageCacheStats* sink);
+  ~ScopedCacheAttribution();
+
+  ScopedCacheAttribution(const ScopedCacheAttribution&) = delete;
+  ScopedCacheAttribution& operator=(const ScopedCacheAttribution&) = delete;
+
+  /// The current thread's sink, or nullptr (internal, used by LayerStore).
+  static PageCacheStats* Current();
+
+ private:
+  PageCacheStats* previous_;
+};
 
 struct LayerStoreOptions {
   /// Spill directory (must exist). Empty = invalid for Configure.
@@ -70,8 +142,8 @@ struct StorageStats {
   /// the denominator of the compression ratio.
   uint64_t raw_serialized_bytes = 0;
   uint64_t pages_read = 0;  ///< pages parsed from disk (incl. prefetch)
-  uint64_t prefetch_requests = 0;
-  uint64_t prefetch_pages = 0;
+  uint64_t prefetch_requests = 0;  ///< Prefetch calls on a spilled layer
+  uint64_t prefetch_pages = 0;     ///< pages the prefetch thread loaded
   double flush_seconds = 0.0;  ///< cumulative wall time in flush tasks
   /// Recovery counters (DESIGN.md §2.4): retried flush writes / page
   /// reads (attempts beyond the first), flush-exhausted layers that were
@@ -86,6 +158,7 @@ struct StorageStats {
   /// the same instants (the bug the per-thread jitter salt fixes).
   std::vector<uint64_t> flush_retries_by_thread;
   uint64_t cache_hits = 0;
+  /// Page lookups that went to disk, demand or prefetch.
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
   uint64_t cache_bytes = 0;  ///< current
@@ -136,9 +209,10 @@ struct StorageStats {
 /// to the BackgroundFlusher, which encodes it into compressed pages
 /// (storage/page.h), writes `layer_<step>.apg` into the spill directory
 /// and then drops the decoded copy if the memory budget demands it.
-/// Reads serve from decoded residents, then the compressed PageCache,
-/// then disk — optionally restricted to a relation subset so a query
-/// over `send-message` never decompresses `vertex-value` pages.
+/// Reads serve from decoded residents, then the compressed page cache (a
+/// BufferPool of pages, storage/buffer_pool.h), then disk — optionally
+/// restricted to a relation subset so a query over `send-message` never
+/// decompresses `vertex-value` pages.
 ///
 /// Held by ProvenanceStore through a unique_ptr: background tasks hold
 /// `this`, so the object must not move (ProvenanceStore stays movable).
@@ -171,7 +245,7 @@ class LayerStore {
   /// on one store (the serve scheduler and its worker threads do), all
   /// internal mutation (LRU ticks, stats, cache admission, resident
   /// re-admission) happens under `mu_` or inside the internally-locked
-  /// PageCache.
+  /// page pool.
   Result<std::shared_ptr<const Layer>> Read(int step) const;
 
   /// Like Read, but materializes only the slices of the relations in
@@ -180,9 +254,9 @@ class LayerStore {
       int step, const std::vector<int>& rels) const;
 
   /// Asynchronous hint: load the pages of `step` restricted to `rels`
-  /// into the page cache. Layered evaluation issues these
-  /// direction-aware (step+1 ascending, step-1 descending). Best-effort;
-  /// errors surface on the subsequent Read.
+  /// into the page cache on the pool's prefetch thread. Layered
+  /// evaluation issues these direction-aware (step+1 ascending, step-1
+  /// descending). Best-effort; errors surface on the subsequent Read.
   void Prefetch(int step, const std::vector<int>& rels) const;
 
   /// Waits for all background writes, enforces the budget, and returns
@@ -235,8 +309,10 @@ class LayerStore {
   void FlushEntry(Entry* entry);
   void EvictResidentsLocked() const;
   size_t DecodedBudget() const;
-  Result<std::shared_ptr<const Page>> FetchPage(const Entry& entry,
-                                                uint32_t index) const;
+  /// One read attempt of a page (the page pool's load step).
+  Result<std::shared_ptr<const Page>> LoadPage(const PageKey& key) const;
+  /// A page through the cache, attributed to the calling thread's sink.
+  Result<std::shared_ptr<const Page>> FetchPage(const PageKey& key) const;
   Result<std::shared_ptr<const Layer>> ReadImpl(
       int step, const std::vector<int>& rels) const;
 
@@ -252,10 +328,14 @@ class LayerStore {
   /// LRU clock and counters are advanced by the (const) read path under
   /// mu_ — bookkeeping, not logical state, hence mutable.
   mutable uint64_t use_tick_ = 0;
-  mutable StorageStats stats_;  ///< cache_* fields filled from cache_ on read
+  /// Flush and prefetch-request counters; the read-path fields are
+  /// filled from cache_ in stats().
+  mutable StorageStats stats_;
   /// Per-flusher-thread retry counts (stats surface; guarded by mu_).
   std::unordered_map<std::thread::id, uint64_t> flush_retries_by_thread_;
-  std::unique_ptr<PageCache> cache_;
+  /// Compressed-page cache under a quarter of the budget; set by
+  /// Configure, so it exists whenever a layer has spilled.
+  std::unique_ptr<BufferPool<PageKey, const Page, PageKeyHash>> cache_;
   std::unique_ptr<BackgroundFlusher> flusher_;
 };
 

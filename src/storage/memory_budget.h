@@ -7,9 +7,10 @@
 namespace ariadne::storage {
 
 /// How one total memory budget (`--mem-budget-mb`) is split across the
-/// three caches of an out-of-core run (DESIGN.md §2.7):
+/// three accounts of an out-of-core run (DESIGN.md §2.7), each enforced
+/// by its own storage::BufferPool:
 ///
-///   provenance page cache   = total * (1 - graph_fraction)
+///   provenance pages        = total * (1 - graph_fraction)
 ///   graph topology cache    = total * graph_fraction * 2/3
 ///   paged vertex state      = total * graph_fraction * 1/3
 ///

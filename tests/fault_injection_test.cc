@@ -399,7 +399,6 @@ class ResilienceFaultTest : public FaultInjectionTest {
         PagedBackend::CreateFrom(graph_, path, /*vertices_per_partition=*/16));
     PagedBackendOptions options;
     options.budget_bytes = 1;  // evict aggressively: every touch re-reads
-    options.enable_prefetch = false;
     options.io_retry.backoff_base_ms = 0.01;  // keep tests fast
     return PagedBackend::Open(path, options);
   }

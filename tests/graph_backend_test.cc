@@ -370,9 +370,7 @@ TEST(GraphBackendTest, VerifyAllPartitionsPassesOnCleanFile) {
   const Graph mem = TestGraph();
   const std::string path = UniquePath("verify");
   ASSERT_TRUE(PagedBackend::CreateFrom(mem, path).ok());
-  PagedBackendOptions options;
-  options.verify_on_open = true;
-  auto paged = PagedBackend::Open(path, options);
+  auto paged = PagedBackend::Open(path);
   ASSERT_TRUE(paged.ok()) << paged.status().ToString();
   EXPECT_TRUE((*paged)->VerifyAllPartitions().ok());
   paged->reset();

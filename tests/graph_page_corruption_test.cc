@@ -42,14 +42,14 @@ class GraphPageCorruptionTest : public testing::Test {
 
   void TearDown() override { std::filesystem::remove(path_); }
 
-  /// Writes `bytes` to the test path and opens with full verification
-  /// (every frame re-read and checksummed, exactly what a corrupted
-  /// demand fault would hit lazily).
+  /// Writes `bytes` to the test path, opens it and verifies every frame
+  /// (re-read and checksummed, exactly what a corrupted demand fault
+  /// would hit lazily).
   Result<std::unique_ptr<PagedBackend>> OpenBytes(const std::string& bytes) {
     EXPECT_TRUE(WriteFile(path_, bytes).ok());
-    PagedBackendOptions options;
-    options.verify_on_open = true;
-    return PagedBackend::Open(path_, options);
+    ARIADNE_ASSIGN_OR_RETURN(auto backend, PagedBackend::Open(path_));
+    ARIADNE_RETURN_NOT_OK(backend->VerifyAllPartitions());
+    return backend;
   }
 
   std::string path_;

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "core/ariadne.h"
 
@@ -90,7 +91,7 @@ TEST_F(ChainSsspFixture, BackwardLineageFullVsCustom) {
   // Naive agrees with layered.
   auto full_naive = session.RunOffline(&full, *q10, EvalMode::kNaive);
   ASSERT_TRUE(full_naive.ok());
-  for (const std::string& table : {"back-trace", "back-lineage"}) {
+  for (const char* table : {"back-trace", "back-lineage"}) {
     EXPECT_EQ(TableStrings(full_layered->result, table),
               TableStrings(full_naive->result, table));
   }
@@ -145,7 +146,7 @@ TEST_F(ChainSsspFixture, AptOnlineMatchesOfflineModes) {
   ASSERT_TRUE(layered.ok()) << layered.status().ToString();
   auto naive = session.RunOffline(&store, *apt_offline, EvalMode::kNaive);
   ASSERT_TRUE(naive.ok()) << naive.status().ToString();
-  for (const std::string& table :
+  for (const char* table :
        {"change", "neighbor-change", "no-execute", "safe", "unsafe"}) {
     EXPECT_EQ(TableStrings(online->query_result, table),
               TableStrings(layered->result, table))
@@ -167,7 +168,7 @@ TEST_F(ChainSsspFixture, RetentionWindowPreservesResults) {
   SsspProgram sssp2(0);
   auto windowed = session.RunOnline(sssp2, *apt, /*retention_window=*/2);
   ASSERT_TRUE(windowed.ok());
-  for (const std::string& table : {"no-execute", "safe", "unsafe"}) {
+  for (const char* table : {"no-execute", "safe", "unsafe"}) {
     EXPECT_EQ(TableStrings(unlimited->query_result, table),
               TableStrings(windowed->query_result, table))
         << table;
@@ -218,7 +219,12 @@ TEST_F(ChainSsspFixture, GenericCaptureMatchesFastPath) {
 TEST_F(ChainSsspFixture, SpilledStoreStillAnswersQueries) {
   Session session(&graph_);
   ProvenanceStore store;
-  ASSERT_TRUE(store.EnableSpill(testing::TempDir(), 64).ok());
+  // A private spill directory (layer files are named by superstep only).
+  ASSERT_TRUE(store
+                  .EnableSpill(testing::TempDir() + "/integration_spill_" +
+                                   std::to_string(::getpid()),
+                               64)
+                  .ok());
   auto capture = session.PrepareOnline(queries::CaptureFull());
   ASSERT_TRUE(capture.ok());
   SsspProgram sssp(0);
@@ -293,7 +299,7 @@ TEST(IntegrationPageRank, AptOnlineEqualsOfflineOnRandomGraph) {
   auto naive = session.RunOffline(&store, *apt_offline, EvalMode::kNaive);
   ASSERT_TRUE(naive.ok());
 
-  for (const std::string& table :
+  for (const char* table :
        {"change", "neighbor-change", "no-execute", "safe", "unsafe"}) {
     EXPECT_EQ(TableStrings(online->query_result, table),
               TableStrings(layered->result, table))

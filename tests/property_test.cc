@@ -3,6 +3,7 @@
 // and queries.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <map>
 #include <set>
@@ -143,7 +144,7 @@ TEST_P(ModeEquivalenceTest, AptAgreesAcrossOnlineLayeredNaive) {
   auto naive = session.RunOffline(&store, *apt_offline, EvalMode::kNaive);
   ASSERT_TRUE(naive.ok()) << naive.status().ToString();
 
-  for (const std::string& table :
+  for (const char* table :
        {"change", "neighbor-change", "no-execute", "safe", "unsafe"}) {
     EXPECT_EQ(TableStrings(online, table),
               TableStrings(layered->result, table))
@@ -327,7 +328,7 @@ TEST_P(RetentionTest, WindowedAptMatchesUnlimited) {
   PageRankProgram windowed_program({.iterations = 6});
   auto windowed = session.RunOnline(windowed_program, *apt, window);
   ASSERT_TRUE(windowed.ok());
-  for (const std::string& table : {"no-execute", "safe", "unsafe"}) {
+  for (const char* table : {"no-execute", "safe", "unsafe"}) {
     EXPECT_EQ(TableStrings(unlimited->query_result, table),
               TableStrings(windowed->query_result, table))
         << table << " window=" << window;
@@ -408,7 +409,14 @@ TEST_P(StoreRoundTripTest, SaveLoadAndSpillPreserveRandomContents) {
   EXPECT_EQ(loaded->TotalBytes(), original_bytes);
 
   // Spill round trip.
-  ASSERT_TRUE(store.EnableSpill(testing::TempDir(), 1).ok());
+  // A private spill directory: the layer files are named by superstep, so
+  // stores spilling into one shared directory overwrite each other.
+  ASSERT_TRUE(store
+                  .EnableSpill(testing::TempDir() + "/prop_spill_" +
+                                   std::to_string(::getpid()) + "_" +
+                                   std::to_string(GetParam()),
+                               1)
+                  .ok());
   EXPECT_GT(store.SpilledLayerCount(), 0);
   EXPECT_EQ(dump(store), original);
   EXPECT_EQ(store.TotalBytes(), original_bytes);

@@ -10,7 +10,6 @@
 #include "storage/layer.h"
 #include "storage/layer_store.h"
 #include "storage/page.h"
-#include "storage/page_cache.h"
 
 namespace ariadne {
 namespace {
@@ -20,8 +19,6 @@ using storage::ByteReader;
 using storage::LayerStore;
 using storage::LayerStoreOptions;
 using storage::Page;
-using storage::PageCache;
-using storage::PageKey;
 
 Tuple T(std::initializer_list<int64_t> vals) {
   Tuple t;
@@ -147,50 +144,6 @@ TEST(PageCodecTest, SerializedPageRoundTripsAndDetectsCorruption) {
         storage::ParsePage(std::string_view(wire).substr(0, cut), &offset)
             .ok());
   }
-}
-
-TEST(PageCacheTest, LruEvictionUnderBudgetAndPinning) {
-  const Layer layer = MixedLayer(0, 40);
-  const auto pages = storage::EncodeLayer(layer, 256);
-  ASSERT_GE(pages.size(), 4u);
-  const size_t page_bytes =
-      storage::kPageWireHeaderBytes + pages[0].payload.size();
-
-  PageCache cache(3 * page_bytes + page_bytes / 2);  // room for ~3 pages
-  auto insert = [&](uint32_t i) {
-    cache.Insert(PageKey{0, i}, std::make_shared<const Page>(pages[i]));
-  };
-  insert(0);
-  insert(1);
-  insert(2);
-  EXPECT_NE(cache.Lookup(PageKey{0, 0}), nullptr);  // 0 is now MRU
-  insert(3);                                        // evicts LRU = 1
-  EXPECT_EQ(cache.Lookup(PageKey{0, 1}), nullptr);
-  EXPECT_NE(cache.Lookup(PageKey{0, 0}), nullptr);
-  EXPECT_TRUE(cache.Contains(PageKey{0, 3}));
-  EXPECT_FALSE(cache.Contains(PageKey{0, 1}));
-
-  // A pinned page survives budget pressure; unpinning re-exposes it.
-  cache.Pin(PageKey{0, 0});
-  insert(1);
-  insert(2);
-  EXPECT_NE(cache.Lookup(PageKey{0, 0}), nullptr);
-  cache.Unpin(PageKey{0, 0});
-
-  const auto stats = cache.stats();
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_GT(stats.misses, 0u);
-  EXPECT_LE(stats.bytes_cached, 4 * page_bytes);
-}
-
-TEST(PageCacheTest, ZeroBudgetCachesNothing) {
-  const Layer layer = MixedLayer(0, 4);
-  const auto pages = storage::EncodeLayer(layer, storage::kDefaultPageSize);
-  PageCache cache(0);
-  cache.Insert(PageKey{0, 0}, std::make_shared<const Page>(pages[0]));
-  EXPECT_EQ(cache.Lookup(PageKey{0, 0}), nullptr);
-  EXPECT_EQ(cache.stats().bytes_cached, 0u);
 }
 
 TEST(BackgroundFlusherTest, RunsTasksAndDrains) {

@@ -97,54 +97,9 @@ TEST_F(StoreCorruptionTest, EveryTruncationIsRejected) {
 
 TEST_F(StoreCorruptionTest, TrailingGarbageIsRejected) {
   // Appending bytes breaks the checksum; with a fixed-up checksum the
-  // structural trailing-bytes check must still fire (defense in depth,
-  // exercised directly on the legacy format below).
+  // structural trailing-bytes check must still fire (defense in depth).
   auto loaded = LoadBytes(image_ + std::string(8, '\x7f'));
   EXPECT_FALSE(loaded.ok());
-}
-
-TEST_F(StoreCorruptionTest, LegacyImageTruncationsAreRejected) {
-  // The legacy APV1 format has no file checksum: its protection is the
-  // per-count bounds validation, so truncations must fail structurally.
-  BinaryWriter writer;
-  writer.WriteU32(0x41505631);  // "APV1"
-  writer.WriteU64(1);
-  writer.WriteString("value");
-  writer.WriteU32(3);
-  Layer empty_static;
-  SerializeLayer(empty_static, writer);
-  writer.WriteU64(2);
-  SerializeLayer(MakeLayer(0, 0, 25), writer);
-  SerializeLayer(MakeLayer(1, 0, 25), writer);
-  const std::string legacy = writer.MoveData();
-  {
-    auto ok = LoadBytes(legacy);
-    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-    EXPECT_EQ(ok->num_layers(), 2);
-  }
-  const size_t stride = std::max<size_t>(1, legacy.size() / 53);
-  for (size_t cut = 4; cut < legacy.size(); cut += stride) {
-    auto loaded = LoadBytes(legacy.substr(0, cut));
-    EXPECT_FALSE(loaded.ok()) << "legacy truncation to " << cut
-                              << " bytes was not detected";
-  }
-}
-
-TEST_F(StoreCorruptionTest, LegacyCountCorruptionIsBounded) {
-  // Blow up the layer-count field of a legacy image: the loader must
-  // reject it via the bounds guard instead of attempting a huge reserve.
-  BinaryWriter writer;
-  writer.WriteU32(0x41505631);
-  writer.WriteU64(1);
-  writer.WriteString("value");
-  writer.WriteU32(3);
-  Layer empty_static;
-  SerializeLayer(empty_static, writer);
-  writer.WriteU64(uint64_t{1} << 60);  // absurd layer count
-  auto loaded = LoadBytes(writer.MoveData());
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_TRUE(loaded.status().IsParseError()) << loaded.status().ToString();
-  EXPECT_NE(loaded.status().message().find("exceeds"), std::string::npos);
 }
 
 }  // namespace
